@@ -5,7 +5,8 @@
 //!
 //! - the trace's table of contents (event counts);
 //! - best-latency-vs-trials curves per task (`MeasureBatch`);
-//! - the phase-time breakdown from the final `PhaseProfile` snapshot;
+//! - the phase-time breakdown from the final `PhaseProfile` snapshot, as
+//!   shares of the run's wall time plus an `untracked` residual;
 //! - cost-model accuracy drift over retrains (`ModelRetrain`);
 //! - the task scheduler's per-task allocation table (`SchedulerStep`);
 //! - aggregate measurement-failure kinds.
@@ -57,6 +58,9 @@ struct Report {
     event_counts: BTreeMap<String, u64>,
     best_curves: BTreeMap<String, Vec<(u64, f64)>>,
     phase_breakdown: Vec<(String, HistogramSummary)>,
+    /// Wall seconds the final `PhaseProfile` line carries (`t_ms`): the
+    /// denominator of every phase share.
+    phase_wall_seconds: f64,
     model_drift: Vec<ModelPoint>,
     allocations: BTreeMap<String, u64>,
     final_counters: BTreeMap<String, u64>,
@@ -84,6 +88,11 @@ impl Report {
                 .collect(),
             best_curves: report::best_curves(lines),
             phase_breakdown: report::phase_breakdown(lines),
+            phase_wall_seconds: lines
+                .iter()
+                .rev()
+                .find(|l| matches!(l.event, telemetry::TraceEvent::PhaseProfile { .. }))
+                .map_or(0.0, |l| l.t_ms / 1e3),
             model_drift: report::model_drift(lines),
             allocations: report::allocations(lines),
             final_counters: report::final_counters(lines),
@@ -434,8 +443,19 @@ fn print_summary(rep: &Report) {
     }
 
     if !rep.phase_breakdown.is_empty() {
-        let total: f64 = rep.phase_breakdown.iter().map(|(_, h)| h.sum).sum();
-        let rows: Vec<Vec<String>> = rep
+        // Shares are of wall time. Nested spans (`phase/a/b`) are already
+        // inside their parent, so only top-level phases count towards the
+        // tracked total; the rest of wall is the `untracked` row.
+        let wall = rep.phase_wall_seconds;
+        let share = |secs: f64| format!("{:.1}%", 100.0 * secs / wall.max(1e-30));
+        let tracked: f64 = rep
+            .phase_breakdown
+            .iter()
+            .filter(|(name, _)| !name.trim_start_matches("phase/").contains('/'))
+            .map(|(_, h)| h.sum)
+            .sum();
+        let untracked = (wall - tracked).max(0.0);
+        let mut rows: Vec<Vec<String>> = rep
             .phase_breakdown
             .iter()
             .map(|(name, h)| {
@@ -443,14 +463,25 @@ fn print_summary(rep: &Report) {
                     name.trim_start_matches("phase/").to_string(),
                     h.count.to_string(),
                     fmt_seconds(h.sum),
-                    format!("{:.1}%", 100.0 * h.sum / total.max(1e-30)),
+                    share(h.sum),
                     fmt_seconds(h.p50),
                     fmt_seconds(h.p99),
                 ]
             })
             .collect();
+        rows.push(vec![
+            "untracked".into(),
+            "-".into(),
+            fmt_seconds(untracked),
+            share(untracked),
+            "-".into(),
+            "-".into(),
+        ]);
         print_table(
-            "Phase-time breakdown (final snapshot)",
+            &format!(
+                "Phase-time breakdown (final snapshot; shares of {} wall)",
+                fmt_seconds(wall)
+            ),
             &["phase", "calls", "total", "share", "p50", "p99"],
             &rows,
         );

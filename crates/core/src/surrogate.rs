@@ -1,7 +1,7 @@
 //! Step-sequence surrogate model: cheap candidate scoring without lowering.
 //!
 //! Every candidate the GBDT scores pays the full lower+featurize path
-//! (`extract_cold` ≈ 8.6 ms vs 1.1 ms cached — `results/BENCH_cost_model.json`)
+//! (`features.extract_us` in `perfbench`'s per-layer metrics)
 //! before a single tree is evaluated. The [`StepSequenceModel`] sidesteps
 //! that cost by featurizing a schedule **purely from its transform-step
 //! history** — the same rule chains and step parameters the lineage

@@ -70,23 +70,6 @@ pub fn extract_state_matrix(state: &tensor_ir::State) -> Result<FeatureMatrix, S
     }
 }
 
-/// Extracts features for a batch of programs on the parallel runtime's
-/// worker threads. Results are in input order and bit-identical across
-/// thread counts (each program is featurized independently).
-pub fn extract_features_batch(programs: &[Program]) -> Vec<Vec<Vec<f32>>> {
-    ansor_runtime::parallel_map(programs, extract_program_features)
-}
-
-/// Lowers and featurizes a batch of schedule states in parallel; `Err`
-/// carries the lowering failure's message so callers can record *why* a
-/// state produced no features instead of silently dropping it.
-pub fn extract_states_features(states: &[tensor_ir::State]) -> Vec<Result<Vec<Vec<f32>>, String>> {
-    ansor_runtime::parallel_map(states, |s| match tensor_ir::lower(s) {
-        Ok(p) => Ok(extract_program_features(&p)),
-        Err(e) => Err(e.to_string()),
-    })
-}
-
 /// Extracts the 164-entry feature vector of one analyzed statement.
 pub fn extract_store_features(s: &StoreAnalysis) -> Vec<f32> {
     let mut f = Vec::with_capacity(FEATURE_DIM);
@@ -512,38 +495,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_extraction_matches_serial_in_order() {
-        let mut b = DagBuilder::new();
-        let a = b.placeholder("A", &[64, 64]);
-        let w = b.placeholder("B", &[64, 64]);
-        b.compute_reduce("C", &[64, 64], &[64], Reducer::Sum, |ax| {
-            Expr::load(a, vec![ax[0].clone(), ax[2].clone()])
-                * Expr::load(w, vec![ax[2].clone(), ax[1].clone()])
-        });
-        let dag = Arc::new(b.build().unwrap());
-        let mut states = Vec::new();
-        for f in [1i64, 2, 4, 8, 16, 32] {
-            let steps = if f > 1 {
-                vec![Step::Split {
-                    node: "C".into(),
-                    iter: "i".into(),
-                    lengths: vec![f],
-                }]
-            } else {
-                vec![]
-            };
-            states.push(State::replay(dag.clone(), &steps).unwrap());
-        }
-        let programs: Vec<_> = states.iter().map(|s| lower(s).unwrap()).collect();
-        let batch = extract_features_batch(&programs);
-        let from_states = extract_states_features(&states);
-        for (i, p) in programs.iter().enumerate() {
-            assert_eq!(batch[i], extract_program_features(p));
-            assert_eq!(from_states[i].as_ref().unwrap(), &batch[i]);
-        }
-    }
-
-    #[test]
     fn matrix_extraction_matches_nested_extraction() {
         // Oracle: the packed matrix is exactly the nested representation,
         // row for row, for the same program.
@@ -562,7 +513,6 @@ mod tests {
         assert_eq!(m.n_cols(), FEATURE_DIM);
         assert_eq!(m.n_segments(), 1);
         assert_eq!(m.segment_nested(0), nested);
-        assert_eq!(m, FeatureMatrix::from_nested(&[nested], FEATURE_DIM));
         let via_state = extract_state_matrix(&st).unwrap();
         assert_eq!(via_state, m);
     }

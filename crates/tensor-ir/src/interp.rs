@@ -94,58 +94,9 @@ impl Buffers {
         &self.data[node]
     }
 
-    /// Bounds-checked element load (used by the bytecode engine).
-    pub fn load(&self, node: NodeId, idx: &[i64]) -> Result<f32, Error> {
-        let flat = self.flat_index(node, idx)?;
-        Ok(self.data[node][flat])
-    }
-
     /// The shape of a node's buffer.
     pub fn shape(&self, node: NodeId) -> &[i64] {
         &self.shapes[node]
-    }
-
-    /// Bounds-checked load from an iterator of indices (allocation-free
-    /// path for the bytecode engine).
-    pub fn load_iter(
-        &self,
-        node: NodeId,
-        idx: impl ExactSizeIterator<Item = i64>,
-    ) -> Result<f32, Error> {
-        let shape = &self.shapes[node];
-        if idx.len() != shape.len() {
-            return Err(Error::Interp(format!(
-                "index arity mismatch for node {node}"
-            )));
-        }
-        let mut flat: i64 = 0;
-        for (i, &e) in idx.zip(shape) {
-            if i < 0 || i >= e {
-                return Err(Error::Interp(format!(
-                    "index {i} out of bounds (extent {e}) of node {node}"
-                )));
-            }
-            flat = flat * e + i;
-        }
-        Ok(self.data[node][flat as usize])
-    }
-
-    /// Bounds-checked element store with optional reduction combine (used
-    /// by the bytecode engine).
-    pub fn store(
-        &mut self,
-        node: NodeId,
-        idx: &[i64],
-        value: f32,
-        reduce: Option<crate::dag::Reducer>,
-    ) -> Result<(), Error> {
-        let flat = self.flat_index(node, idx)?;
-        let slot = &mut self.data[node][flat];
-        *slot = match reduce {
-            Some(r) => r.combine(*slot, value),
-            None => value,
-        };
-        Ok(())
     }
 
     fn flat_index(&self, node: NodeId, idx: &[i64]) -> Result<usize, Error> {

@@ -7,6 +7,10 @@
 //! prerank stage off (the default) a traced run emits no
 //! `SurrogateCalibration` events and no `surrogate/*` counters, so
 //! enabling the subsystem cannot perturb existing traces.
+//!
+//! Within one task, paired prerank-off/on sessions pin the stage's two
+//! deterministic outcomes: how many GBDT scorings it skips, and how close
+//! the final best stays to the full path's.
 
 use ansor::core::{SearchTask, StepSequenceModel, TuningOptions, TuningRecord, TuningSession};
 use ansor::prelude::*;
@@ -140,4 +144,56 @@ fn prerank_off_emits_no_surrogate_trace_events_or_counters() {
             "prerank off must not create surrogate counters (found {name})"
         );
     }
+}
+
+/// One GMM s0 session at `trials`; returns (best seconds, cold GBDT
+/// evaluations). Every cold evaluation is a score-cache miss, and the
+/// candidates the prerank stage drops never reach the GBDT.
+fn prerank_session(trials: usize, seed: u64, prerank_keep: Option<f64>) -> (f64, u64) {
+    let dag = build_case("GMM", 0, 1).expect("GMM shape 0 exists");
+    let target = HardwareTarget::by_name("intel").expect("intel target");
+    let task = SearchTask::new("GMM:s0b1", dag, target.clone());
+    let options = TuningOptions {
+        num_measure_trials: trials,
+        seed,
+        prerank_keep,
+        ..Default::default()
+    };
+    let mut session = TuningSession::new(task, options, Measurer::new(target), "prerank");
+    session.run(|_| true);
+    (session.best_seconds(), session.cache_stats().score_misses)
+}
+
+#[test]
+fn prerank_keeps_quality_and_skips_scoring() {
+    // 96 trials is the smallest budget at which prerank skips anything:
+    // at 32, 48 and 64 trials both sessions make the same GBDT scorings.
+    // At this budget the skip fraction is 0.3824 and the median off/on
+    // ratio 1.000; the floors allow 25% fewer skips and 0.02 less ratio.
+    const TRIALS: usize = 96;
+    const SKIP_FLOOR: f64 = 0.75 * 0.3824;
+    const RATIO_FLOOR: f64 = 1.0 - 0.02;
+
+    let mut misses = [0u64; 2];
+    let mut ratios = Vec::new();
+    for seed in [7, 9, 11] {
+        let (best_off, misses_off) = prerank_session(TRIALS, seed, None);
+        let (best_on, misses_on) = prerank_session(TRIALS, seed, Some(0.25));
+        misses[0] += misses_off;
+        misses[1] += misses_on;
+        // Off over on seconds: above 1 when prerank found a faster program.
+        ratios.push(best_off / best_on);
+    }
+    ratios.sort_by(f64::total_cmp);
+
+    let skip = 1.0 - misses[1] as f64 / misses[0].max(1) as f64;
+    assert!(
+        skip >= SKIP_FLOOR,
+        "prerank skipped {skip:.4} of GBDT scorings (misses off/on {misses:?}), floor {SKIP_FLOOR:.4}"
+    );
+    let ratio = ratios[1];
+    assert!(
+        ratio >= RATIO_FLOOR,
+        "median off/on best-seconds ratio {ratio:.4} ({ratios:?}), floor {RATIO_FLOOR:.2}"
+    );
 }
